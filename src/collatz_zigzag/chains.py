@@ -54,14 +54,16 @@ class ChainSystem:
                 raise ValueError(f"coeff_b[{j}] must be positive, got {v}")
             if v % 2 == 1:
                 raise ValueError(f"coeff_b[{j}] must be even, got {v}")
-        for i, av in enumerate(a):
-            for j, bv in enumerate(b):
-                g = math.gcd(av, bv)
-                if g != 1:
-                    raise ValueError(
-                        f"coeff_a[{i}] and coeff_b[{j}] share the factor {g}; "
-                        "all coefficient pairs must be coprime"
-                    )
+        # a prime shared by some a[i] and b[j] divides both products; only
+        # then search for the first such pair, to name it
+        b_prod = math.prod(b)
+        if math.gcd(math.prod(a), b_prod) != 1:
+            i, av = next((i, av) for i, av in enumerate(a) if math.gcd(av, b_prod) != 1)
+            j, g = next((j, g) for j, bv in enumerate(b) if (g := math.gcd(av, bv)) != 1)
+            raise ValueError(
+                f"coeff_a[{i}] and coeff_b[{j}] share the factor {g}; "
+                "all coefficient pairs must be coprime"
+            )
 
     @property
     def n(self) -> int:

@@ -19,7 +19,14 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .dynamics import COLLATZ, DynamicsParams, extract_pattern, trajectory, verify_pattern
+from .dynamics import (
+    COLLATZ,
+    DynamicsParams,
+    _run_lengths,
+    extract_pattern,
+    trajectory,
+    verify_pattern,
+)
 from .forge import InternalVerificationError, forge, minimal_witness, segment_boundaries
 from .patterns import parse_pattern
 
@@ -139,7 +146,7 @@ def _cmd_trace(args) -> int:
     if args.steps < 0:
         raise ValueError("steps must be nonnegative")
     traj = trajectory(params, m, args.steps)
-    rle = extract_pattern(params, m, args.steps)
+    rle = _run_lengths(traj)
     record = {
         "schema_version": SCHEMA_VERSION,
         "command": "trace",

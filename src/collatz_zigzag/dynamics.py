@@ -6,13 +6,20 @@ the numerator.  Collatz is p=2, ell=2, r=1, i.e. (3m + 1) / 2**e on odd m.
 Besides plain iteration this module extracts and verifies rise/fall
 patterns and evaluates the closed forms that force a trajectory to rise or
 fall for a prescribed number of steps.
+
+Collatz patterns are verified exactly but a whole run at a time, by two
+2-adic identities on odd m: with m + 1 = 2**k * u (u odd), m rises exactly
+k - 1 times in a row and v <= k - 1 rises land on 3**v * (m + 1) / 2**v - 1;
+a fall from m with 2**3 dividing m - 1 divides out exactly 2**2, so it maps
+m - 1 to 3 * (m - 1) / 4.  Plain ``step`` iteration is the test oracle for
+this fast path, and the only path for the other maps of the family.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 from .patterns import DECREASING, FIXED, INCREASING, Pattern, PatternRLE, as_pattern
 
@@ -178,7 +185,11 @@ def extract_pattern(params: DynamicsParams, m: int, steps: int) -> PatternRLE:
     The encoding is flagged truncated when the budget ran out before a fixed
     point, since the final run might have continued.
     """
-    traj = trajectory(params, m, steps)
+    return _run_lengths(trajectory(params, m, steps))
+
+
+def _run_lengths(traj: Trajectory) -> PatternRLE:
+    """The run-length encoding of a recorded trajectory's rises and falls."""
     values = traj.values
     if len(values) < 2:
         return PatternRLE(FIXED, (), truncated=not traj.hit_fixed_point)
@@ -202,9 +213,15 @@ def verify_pattern(params: DynamicsParams, m: int, pattern: Pattern) -> VerifyRe
     may do anything afterwards.  On failure, ``failure_index`` is the index
     of the first offending step (comparing values number failure_index and
     failure_index + 1 of the trajectory).
+
+    The check is exact for every map.  For Collatz it jumps over whole
+    stretches of a run by the rise and fall identities in the module
+    docstring; other maps are iterated one ``step`` at a time.
     """
     pattern = as_pattern(pattern)
     cur = _check_domain(params, m)
+    if params == COLLATZ:
+        return _verify_collatz(cur, pattern.runs)
     index = 0
     for seg, v in enumerate(pattern.runs):
         rising = seg % 2 == 0
@@ -214,6 +231,39 @@ def verify_pattern(params: DynamicsParams, m: int, pattern: Pattern) -> VerifyRe
                 return VerifyResult(False, index)
             cur = nxt
             index += 1
+    return VerifyResult(True, None)
+
+
+def _verify_collatz(m: int, runs: Sequence[int]) -> VerifyResult:
+    """``verify_pattern`` for Collatz on an odd positive m, a run at a time."""
+    index = 0
+    for seg, v in enumerate(runs):
+        if seg % 2 == 0:
+            # m + 1 = 2**k * u rises k - 1 times, then stops rising
+            d = m + 1
+            rises = (d & -d).bit_length() - 2
+            if rises < v:
+                return VerifyResult(False, index + rises)
+            m = (d >> v) * 3**v - 1
+            index += v
+            continue
+        left = v
+        while left:
+            # m = 1 is fixed and m = 3 (mod 4) rises: neither falls
+            if m == 1 or m & 3 != 1:
+                return VerifyResult(False, index)
+            # m - 1 = 2**s * u with s >= 2; while s >= 3 a fall divides out
+            # exactly 2**2 and lowers s by 2, so j = (s - 1) // 2 falls jump
+            d = m - 1
+            j = min(((d & -d).bit_length() - 2) // 2, left)
+            if j:
+                m = (d >> 2 * j) * 3**j + 1
+            else:
+                # s = 2: one fall dividing out 2**e with e >= 3
+                m = collatz(m)
+                j = 1
+            index += j
+            left -= j
     return VerifyResult(True, None)
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .chains import ChainSystem, SolutionCertificate, solve_odd_positive
-from .dynamics import COLLATZ, collatz, verify_pattern
+from .dynamics import COLLATZ, _verify_collatz, verify_pattern
 from .patterns import Pattern, as_pattern
 
 
@@ -72,8 +72,8 @@ def forge(pattern: Pattern) -> Witness:
 
     Deterministic: the multipliers come from the chain solver's canonical
     odd-positive solution (single-run patterns take multiplier 1, the
-    smallest of their closed-form family).  The witness is re-verified by
-    actually iterating the Collatz map before being returned; the witness is
+    smallest of their closed-form family).  The witness is re-verified
+    exactly by ``verify_pattern`` before being returned; the witness is
     canonical but generally not the smallest possible.
     """
     pattern = as_pattern(pattern)
@@ -122,18 +122,6 @@ def minimal_witness(pattern: Pattern, bound: int) -> Optional[int]:
         raise ValueError(f"bound must be >= 1, got {bound}")
     runs = pattern.runs
     for m in range(1, bound + 1, 2):
-        cur = m
-        ok = True
-        for seg, v in enumerate(runs):
-            rising = seg % 2 == 0
-            for _ in range(v):
-                nxt = collatz(cur)
-                if (nxt <= cur) if rising else (nxt >= cur):
-                    ok = False
-                    break
-                cur = nxt
-            if not ok:
-                break
-        if ok:
+        if _verify_collatz(m, runs).ok:
             return m
     return None

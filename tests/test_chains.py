@@ -59,6 +59,14 @@ class TestConstruction:
         with pytest.raises(ValueError, match=r"coeff_a\[0\] and coeff_b\[1\]"):
             ChainSystem((3, 5), (4, 6), (1, 1))
 
+    def test_shared_factor_in_last_pair_of_long_system(self):
+        # only a[1999] = 5 and b[1999] = 10 share a factor
+        n = 2000
+        a = (3,) * (n - 1) + (5,)
+        b = (4,) * (n - 1) + (10,)
+        with pytest.raises(ValueError, match=r"coeff_a\[1999\] and coeff_b\[1999\] share the factor 5;"):
+            ChainSystem(a, b, (1,) * n)
+
     @pytest.mark.parametrize("a,b", [((0,), (4,)), ((-3,), (4,)), ((3,), (0,)), ((3,), (-4,))])
     def test_rejects_nonpositive_coefficients(self, a, b):
         with pytest.raises(ValueError, match="must be positive"):

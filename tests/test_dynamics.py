@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from collatz_zigzag.dynamics import (
     COLLATZ,
     DynamicsParams,
+    VerifyResult,
     collatz,
     decreasing_segment,
     extract_pattern,
@@ -18,9 +19,62 @@ from collatz_zigzag.dynamics import (
     trajectory,
     verify_pattern,
 )
+from collatz_zigzag.forge import forge
 from collatz_zigzag.patterns import Pattern
 
 P3 = DynamicsParams(p=3, ell=1, r=1)
+
+
+def step_oracle(params, m, runs):
+    """verify_pattern by plain iteration, one step at a time."""
+    index = 0
+    for seg, v in enumerate(runs):
+        for _ in range(v):
+            nxt = step(params, m).next
+            if (nxt <= m) if seg % 2 == 0 else (nxt >= m):
+                return VerifyResult(False, index)
+            m = nxt
+            index += 1
+    return VerifyResult(True, None)
+
+
+def rise_then_fall(v, s, t):
+    """An odd m that rises exactly v times and then reaches a value x with
+    exactly s factors of 2 in x - 1, so that x starts to fall.
+
+    m = 2**(v+1) * u - 1 rises to x = 2 * 3**v * u - 1, and
+    x - 1 = 2 * (3**v * u - 1); u is picked mod 2**s to fix that valuation.
+    """
+    u = pow(3, -v, 2**s) * (1 + 2 ** (s - 1)) % 2**s + 2**s * t
+    return 2 ** (v + 1) * u - 1
+
+
+odd = st.integers(0, 10**6).map(lambda u: 2 * u + 1)
+run_lists = st.lists(st.integers(1, 4) | st.integers(1, 200), min_size=1, max_size=6)
+plain_starts = (
+    st.just(1)
+    | odd
+    | st.builds(lambda k, u, sign: 2**k * u + sign, st.integers(1, 200), odd, st.sampled_from((-1, 1)))
+)
+fall_valuations = st.just(2) | st.integers(2, 200)
+
+
+@st.composite
+def collatz_cases(draw):
+    """(m, runs) for the run-jumping checks.
+
+    The starts stress the run identities: the fixed point, long rises
+    (m = 2**k * u - 1 with k large), starts that cannot rise
+    (m = 2**k * u + 1), and starts that rise v times, often exactly the
+    first run, and then fall from a value x with 2**s exactly dividing
+    x - 1: s = 2, where one step divides out 2**e with e >= 3, and large s,
+    a long fall.  Runs of up to 200 outlast what most starts can sustain.
+    """
+    runs = draw(run_lists)
+    if draw(st.booleans()):
+        return draw(plain_starts), runs
+    v = runs[0] if draw(st.booleans()) else draw(st.integers(1, 50))
+    return rise_then_fall(v, draw(fall_valuations), draw(st.integers(0, 10**6))), runs
 
 
 class TestParams:
@@ -215,6 +269,42 @@ class TestVerifyPattern:
         rle = extract_pattern(COLLATZ, m, pattern.total_steps)
         expected = rle.leading_direction == "increasing" and rle.runs == pattern.runs
         assert verify_pattern(COLLATZ, m, pattern).ok == expected
+
+
+class TestVerifyCollatzRunJumps:
+    @settings(max_examples=500)
+    @given(collatz_cases())
+    def test_agrees_with_step_oracle(self, case):
+        m, runs = case
+        assert verify_pattern(COLLATZ, m, Pattern(tuple(runs))) == step_oracle(COLLATZ, m, runs)
+
+    @pytest.mark.parametrize(
+        "m,runs,expected",
+        [
+            (1, (1,), (False, 0)),
+            (5, (1,), (False, 0)),
+            (2**40 - 1, (39,), (True, None)),
+            (2**40 - 1, (40,), (False, 39)),
+            # 2 * 3**3 - 1 = 53: 53 - 1 has two factors of 2, 53 -> 5 -> 1
+            (15, (3, 2), (True, None)),
+            (15, (3, 3), (False, 5)),
+            (rise_then_fall(3, 41, 0), (3, 20), (True, None)),
+            (rise_then_fall(3, 41, 0), (3, 21), (False, 23)),
+        ],
+    )
+    def test_edge_cases(self, m, runs, expected):
+        assert verify_pattern(COLLATZ, m, Pattern(runs)) == expected
+        assert step_oracle(COLLATZ, m, runs) == expected
+
+    @pytest.mark.parametrize("runs", [(16000,), (3000,) * 6])
+    def test_long_forged_witnesses(self, runs):
+        # one oracle walk one step past the pattern proves the witness too
+        witness = forge(Pattern(runs))
+        longer = runs[:-1] + (runs[-1] + 1,)
+        expected = step_oracle(COLLATZ, witness.m, longer)
+        assert expected.ok or expected.failure_index == sum(runs)
+        assert verify_pattern(COLLATZ, witness.m, Pattern(longer)) == expected
+        assert verify_pattern(COLLATZ, witness.m, Pattern(runs)) == (True, None)
 
 
 class TestSegments:
