@@ -106,7 +106,9 @@ class KernelVector:
                 raise ValueError(f"kernel entry {i} must be even, got {v}")
         if entries[-1] % 2 == 0:
             raise ValueError(f"last kernel entry must be odd, got {entries[-1]}")
-        if math.gcd(*entries) != 1:
+        # coprime end entries already make the vector primitive; the full
+        # gcd is needed only when they share a factor
+        if math.gcd(entries[0], entries[-1]) != 1 and math.gcd(*entries) != 1:
             raise ValueError("kernel vector must be primitive (gcd of entries 1)")
 
     def __len__(self) -> int:
@@ -167,9 +169,10 @@ def kernel_primitive(system: ChainSystem) -> KernelVector:
     """The unique primitive positive kernel generator, in closed form.
 
     Row i forces coeff_a[i] * z[i] == coeff_b[i] * z[i+1], so a kernel member
-    is z[i] = (coeff_a[0]..coeff_a[i-1]) * (coeff_b[i]..coeff_b[n-1]) with
-    z[n] the product of all coeff_a; dividing out the common gcd leaves the
-    primitive generator.  No rational arithmetic is involved.
+    is z[i] = (coeff_a[0]..coeff_a[i-1]) * (coeff_b[i]..coeff_b[n-1]).  It is
+    already primitive: z[0] is the product of all coeff_b and z[n] the product
+    of all coeff_a, which ``ChainSystem`` has checked to be coprime, so the
+    gcd of all entries is 1.  No rational arithmetic is involved.
     """
     a, b = system.coeff_a, system.coeff_b
     n = system.n
@@ -182,8 +185,7 @@ def kernel_primitive(system: ChainSystem) -> KernelVector:
         entries.append(prefix_a * suffix_b[i])
         prefix_a *= a[i]
     entries.append(prefix_a)
-    g = math.gcd(*entries)
-    return KernelVector(tuple(v // g for v in entries))
+    return KernelVector(tuple(entries))
 
 
 def particular_solution(system: ChainSystem) -> tuple[int, ...]:
@@ -192,39 +194,32 @@ def particular_solution(system: ChainSystem) -> tuple[int, ...]:
     Fixing x[0] determines every later entry through
     x[i+1] = (coeff_a[i] * x[i] - rhs[i]) / coeff_b[i], so the whole solve
     reduces to choosing x[0] in the single congruence class that keeps every
-    division exact.  The sweep tightens that class one equation at a time:
-    at equation i the constraint is (a[0]..a[i]) * x[0] = c (mod b[0]..b[i]),
-    and the new congruence's coefficient is a product of odd diagonal
-    entries, hence invertible modulo the even modulus b[i].  The least
-    nonnegative representative of the final class is taken, then the chain
-    is filled in by back-substitution.
+    division exact.  The sweep carries x[0], the current chain entry x[i],
+    the modulus M = b[0]..b[i-1] and the product P = a[0]..a[i-1] forward:
+    adding t * M to x[0] keeps equations 0..i-1 exact and adds t * P to x[i].
+    Equation i then needs a[i] * P * t = rhs[i] - a[i] * x[i] (mod b[i]),
+    whose coefficient is coprime to b[i] because ``ChainSystem`` has checked
+    that every diagonal entry is coprime to every superdiagonal one.  Each t
+    lies in [0, b[i]), so x[0] ends as the least nonnegative member of its
+    class modulo b[0]..b[n-1].  The chain is then filled in by
+    back-substitution, which checks every division for exactness.
 
     When every rhs entry is odd, entries 0..n-1 of the result are odd
     automatically (each equation forces it mod 2).
     """
     a, b, h = system.coeff_a, system.coeff_b, system.rhs
-    residue, modulus = 0, 1
-    prod_a, const = 1, 0
+    x0 = xi = 0
+    modulus = prod_a = 1
     for ai, bi, hi in zip(a, b, h):
-        const = ai * const + hi * modulus
         prod_a *= ai
-        need = const - prod_a * residue
-        quot, rem = divmod(need, modulus)
-        if rem:  # pragma: no cover - the previous classes already guarantee this
-            raise ArithmeticError("congruence sweep lost divisibility")
-        try:
-            inv = pow(prod_a % bi, -1, bi)
-        except ValueError:  # pragma: no cover - excluded by pairwise coprimality
-            raise ValueError(
-                "system is not solvable: the diagonal product shares a factor "
-                f"with coeff_b entry {bi}"
-            ) from None
-        residue += modulus * ((quot * inv) % bi)
+        t = (hi - ai * xi) * pow(prod_a % bi, -1, bi) % bi
+        x0 += t * modulus
+        xi = (ai * xi + t * prod_a - hi) // bi
         modulus *= bi
-    xs = [residue]
+    xs = [x0]
     for ai, bi, hi in zip(a, b, h):
         nxt, rem = divmod(ai * xs[-1] - hi, bi)
-        if rem:  # pragma: no cover - same guarantee as above
+        if rem:  # pragma: no cover - the sweep made every division exact
             raise ArithmeticError("back-substitution produced a non-integer entry")
         xs.append(nxt)
     return tuple(xs)

@@ -34,9 +34,10 @@ from .patterns import parse_pattern
 # conversion; the whole point of this interface is printing and re-reading
 # such integers losslessly
 _INT_STR_DIGITS = 2_000_000
-if hasattr(sys, "set_int_max_str_digits"):
-    if sys.get_int_max_str_digits() < _INT_STR_DIGITS:
-        sys.set_int_max_str_digits(_INT_STR_DIGITS)
+# the current cap; 0 means none, and int() gives 0 on interpreters without one
+_digit_limit = getattr(sys, "get_int_max_str_digits", int)
+if 0 < _digit_limit() < _INT_STR_DIGITS:
+    sys.set_int_max_str_digits(_INT_STR_DIGITS)
 
 SCHEMA_VERSION = 1
 
@@ -57,8 +58,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _too_many_digits(what: str) -> ValueError:
+    return ValueError(f"{what} exceeds the interpreter's limit of {_digit_limit()} decimal digits")
+
+
 def _s(value: int) -> str:
-    return str(int(value))
+    try:
+        return str(value)
+    except ValueError:
+        raise _too_many_digits("a result") from None
 
 
 def _seq(values) -> list[str]:
@@ -66,22 +74,30 @@ def _seq(values) -> list[str]:
 
 
 def _emit(record: dict, args, human_lines) -> None:
+    """Print the record, or the ``key: value`` lines; values are the record's
+    decimal strings, lists of them, booleans or None."""
     if args.json:
         print(json.dumps(record))
-    else:
-        for key, value in human_lines:
-            print(f"{key}: {value}")
+        return
+    for key, value in human_lines:
+        if isinstance(value, list):
+            value = ",".join(value)
+        elif value is None or isinstance(value, bool):
+            value = str(value).lower()
+        print(f"{key}: {value}")
 
 
-def _join(values) -> str:
-    return ",".join(str(v) for v in values)
+def _parse_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        if len(text) > _digit_limit() > 0:
+            raise _too_many_digits("the integer argument") from None
+        raise ValueError(f"invalid integer {text!r}") from None
 
 
 def _parse_odd_m(text: str) -> int:
-    try:
-        m = int(text)
-    except ValueError:
-        raise ValueError(f"invalid integer {text!r}") from None
+    m = _parse_int(text)
     if m <= 0:
         raise ValueError("m must be positive")
     if m % 2 == 0:
@@ -92,28 +108,19 @@ def _parse_odd_m(text: str) -> int:
 def _cmd_forge(args) -> int:
     pattern = parse_pattern(args.pattern)
     witness = forge(pattern)
-    boundaries = segment_boundaries(witness)
+    boundaries = _seq(segment_boundaries(witness))  # boundaries[0] is m
     record = {
         "schema_version": SCHEMA_VERSION,
         "command": "forge",
         "inputs": {"pattern": _seq(pattern.runs)},
         "result": {
-            "m": _s(witness.m),
+            "m": boundaries[0],
             "w": _seq(witness.w),
-            "boundaries": _seq(boundaries),
+            "boundaries": boundaries,
             "verified": witness.verified,
         },
     }
-    _emit(
-        record,
-        args,
-        [
-            ("m", witness.m),
-            ("w", _join(witness.w)),
-            ("boundaries", _join(boundaries)),
-            ("verified", "true" if witness.verified else "false"),
-        ],
-    )
+    _emit(record, args, record["result"].items())
     return EXIT_OK
 
 
@@ -121,48 +128,43 @@ def _cmd_verify(args) -> int:
     m = _parse_odd_m(args.m)
     pattern = parse_pattern(args.pattern)
     result = verify_pattern(COLLATZ, m, pattern)
+    failure_index = None if result.failure_index is None else _s(result.failure_index)
     record = {
         "schema_version": SCHEMA_VERSION,
         "command": "verify",
         "inputs": {"m": _s(m), "pattern": _seq(pattern.runs)},
-        "result": {
-            "ok": result.ok,
-            "failure_index": None if result.failure_index is None else _s(result.failure_index),
-        },
+        "result": {"ok": result.ok, "failure_index": failure_index},
     }
-    lines = [("ok", "true" if result.ok else "false")]
-    if result.failure_index is not None:
-        lines.append(("failure_index", result.failure_index))
+    lines = [("ok", result.ok)]
+    if failure_index is not None:
+        lines.append(("failure_index", failure_index))
     _emit(record, args, lines)
     return EXIT_OK if result.ok else EXIT_PATTERN_FALSE
 
 
 def _cmd_trace(args) -> int:
     params = DynamicsParams(p=args.p, ell=args.ell, r=args.r)
-    try:
-        m = int(args.m)
-    except ValueError:
-        raise ValueError(f"invalid integer {args.m!r}") from None
-    if args.steps < 0:
-        raise ValueError("steps must be nonnegative")
-    traj = trajectory(params, m, args.steps)
+    traj = trajectory(params, _parse_int(args.m), args.steps)
     rle = _run_lengths(traj)
+    values = _seq(traj.values)  # values[0] is m
+    exponents = _seq(traj.exponents)
+    runs = _seq(rle.runs)
     record = {
         "schema_version": SCHEMA_VERSION,
         "command": "trace",
         "inputs": {
-            "m": _s(m),
+            "m": values[0],
             "steps": _s(args.steps),
             "p": _s(params.p),
             "ell": _s(params.ell),
             "r": _s(params.r),
         },
         "result": {
-            "values": _seq(traj.values),
-            "exponents": _seq(traj.exponents),
+            "values": values,
+            "exponents": exponents,
             "pattern": {
                 "leading_direction": rle.leading_direction,
-                "runs": _seq(rle.runs),
+                "runs": runs,
                 "truncated": rle.truncated,
             },
             "hit_fixed_point": traj.hit_fixed_point,
@@ -172,12 +174,12 @@ def _cmd_trace(args) -> int:
         record,
         args,
         [
-            ("values", _join(traj.values)),
-            ("exponents", _join(traj.exponents)),
+            ("values", values),
+            ("exponents", exponents),
             ("leading_direction", rle.leading_direction),
-            ("runs", _join(rle.runs)),
-            ("truncated", "true" if rle.truncated else "false"),
-            ("hit_fixed_point", "true" if traj.hit_fixed_point else "false"),
+            ("runs", runs),
+            ("truncated", rle.truncated),
+            ("hit_fixed_point", traj.hit_fixed_point),
         ],
     )
     return EXIT_OK
@@ -185,8 +187,6 @@ def _cmd_trace(args) -> int:
 
 def _cmd_minimal(args) -> int:
     pattern = parse_pattern(args.pattern)
-    if args.bound < 1:
-        raise ValueError("bound must be >= 1")
     found = minimal_witness(pattern, args.bound)
     record = {
         "schema_version": SCHEMA_VERSION,
@@ -194,7 +194,7 @@ def _cmd_minimal(args) -> int:
         "inputs": {"pattern": _seq(pattern.runs), "bound": _s(args.bound)},
         "result": {"m": None if found is None else _s(found)},
     }
-    _emit(record, args, [("m", "none" if found is None else found)])
+    _emit(record, args, record["result"].items())
     return EXIT_OK
 
 
@@ -209,26 +209,21 @@ def _cmd_scan(args) -> int:
         key = (rle.leading_direction, rle.runs[0] if rle.runs else None)
         counts[key] = counts.get(key, 0) + 1
     ordered = sorted(counts.items(), key=lambda kv: (kv[0][0], kv[0][1] or 0))
+    total = _s(sum(counts.values()))
+    entries = [
+        {"direction": d, "first_run": None if first is None else _s(first), "count": _s(count)}
+        for (d, first), count in ordered
+    ]
     record = {
         "schema_version": SCHEMA_VERSION,
         "command": "scan",
         "inputs": {"max_m": _s(args.max_m), "steps": _s(args.steps)},
-        "result": {
-            "total": _s(sum(counts.values())),
-            "counts": [
-                {
-                    "direction": direction,
-                    "first_run": None if first is None else _s(first),
-                    "count": _s(count),
-                }
-                for (direction, first), count in ordered
-            ],
-        },
+        "result": {"total": total, "counts": entries},
     }
-    lines = [("total", sum(counts.values()))]
-    for (direction, first), count in ordered:
-        key = direction if first is None else f"{direction} {first}"
-        lines.append((key, count))
+    lines = [("total", total)]
+    for e in entries:
+        key = e["direction"] if e["first_run"] is None else f"{e['direction']} {e['first_run']}"
+        lines.append((key, e["count"]))
     _emit(record, args, lines)
     return EXIT_OK
 

@@ -1,10 +1,11 @@
 """Chain-system solver: construction, kernel, sweep, lift, and minors."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from collatz_zigzag.chains import (
@@ -17,19 +18,33 @@ from collatz_zigzag.chains import (
     particular_solution,
     solve_odd_positive,
 )
+from collatz_zigzag.forge import build_system
+from collatz_zigzag.patterns import Pattern
 
 S_1X2 = ChainSystem((3,), (4,), (1,))
 S_2X3 = ChainSystem((3, 3), (4, 2), (1, -1))
 S_9_4 = ChainSystem((9,), (4,), (1,))
 # general even superdiagonals (not powers of two), still pairwise coprime
 S_GENERAL = ChainSystem((7, 49), (6, 10), (3, -5))
+S_GENERAL_3 = ChainSystem((11, 13, 17), (6, 10, 2 * 7**5), (1, -3, 5))
+# forge-sized junction systems: 1200 short runs, and six runs of 3000
+S_FORGE_WIDE = build_system(Pattern(tuple(random.Random(1200).randint(1, 4) for _ in range(1200))))
+S_FORGE_TALL = build_system(Pattern((3000,) * 6))
 
 
 @st.composite
 def chain_systems(draw, max_n=6, odd_rhs=False):
     n = draw(st.integers(1, max_n))
     coeff_a = [2 * draw(st.integers(0, (3**20 - 1) // 2)) + 1 for _ in range(n)]
-    coeff_b = [2 ** draw(st.integers(1, 20)) for _ in range(n)]
+    # a power of two, or one times an odd part with every prime it shares
+    # with the diagonal divided out
+    prod_a = math.prod(coeff_a)
+    coeff_b = []
+    for _ in range(n):
+        odd = draw(st.one_of(st.just(1), st.integers(0, 7**6).map(lambda k: 2 * k + 1)))
+        while (g := math.gcd(odd, prod_a)) > 1:
+            odd //= g
+        coeff_b.append(2 ** draw(st.integers(1, 20)) * odd)
     if odd_rhs:
         rhs = [2 * draw(st.integers(-500, 500)) + 1 for _ in range(n)]
     else:
@@ -142,6 +157,10 @@ class TestKernelPrimitive:
         with pytest.raises(ValueError, match="primitive"):
             KernelVector((6, 12, 3))
 
+    def test_kernel_vector_type_accepts_shared_end_factor(self):
+        # the end entries share 3, but the middle entry makes the gcd 1
+        assert KernelVector((6, 10, 3)).entries == (6, 10, 3)
+
 
 class TestParticularSolution:
     @pytest.mark.parametrize(
@@ -157,6 +176,9 @@ class TestParticularSolution:
 
     @settings(max_examples=200)
     @given(chain_systems())
+    @example(S_GENERAL_3)
+    @example(S_FORGE_WIDE)
+    @example(S_FORGE_TALL)
     def test_solves_exactly(self, system):
         x = particular_solution(system)
         assert apply(system, x) == system.rhs
@@ -169,6 +191,9 @@ class TestParticularSolution:
 
     @settings(max_examples=100)
     @given(chain_systems())
+    @example(S_GENERAL_3)
+    @example(S_FORGE_WIDE)
+    @example(S_FORGE_TALL)
     def test_first_entry_is_least_nonnegative(self, system):
         # the first entry is reduced modulo the product of all superdiagonals
         x = particular_solution(system)

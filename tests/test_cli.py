@@ -122,6 +122,11 @@ class TestTraceCommand:
         assert code == 1
         assert "not prime" in err
 
+    def test_negative_steps_exits_1(self, capsys):
+        code, _, err = run_cli(capsys, "trace", "27", "--steps", "-1")
+        assert code == 1
+        assert "steps must be nonnegative" in err
+
 
 class TestMinimalCommand:
     def test_finds_small_witnesses(self, capsys):
@@ -174,6 +179,70 @@ class TestScanCommand:
         code, _, err = run_cli(capsys, "scan", "--max-m", "0", "--steps", "3")
         assert code == 1
         assert "max-m" in err
+
+
+class TestDigitLimit:
+    # the interpreter caps int<->str conversion; lowering the cap here lets
+    # small integers cross it
+
+    @pytest.fixture
+    def limit_5000(self):
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(5000)
+        try:
+            yield
+        finally:
+            sys.set_int_max_str_digits(saved)
+
+    def test_result_over_the_limit_exits_1(self, capsys, limit_5000):
+        code, out, err = run_cli(capsys, "forge", "20000", "--json")
+        assert (code, out) == (1, "")
+        assert err == "error: a result exceeds the interpreter's limit of 5000 decimal digits\n"
+
+    def test_input_over_the_limit_exits_1(self, capsys, limit_5000):
+        m = "1" * 6001
+        code, out, err = run_cli(capsys, "verify", m, "1")
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: the integer argument exceeds the interpreter's limit of 5000 decimal digits\n"
+        )
+
+    def test_invalid_integer_is_still_named(self, capsys, limit_5000):
+        code, _, err = run_cli(capsys, "trace", "27x")
+        assert code == 1
+        assert "invalid integer '27x'" in err
+
+
+# (argv, exit code, exact stdout) of every example in the README
+README_EXAMPLES = [
+    (["forge", "1,1"], 0, "m: 27\nw: 7,5\nboundaries: 27,41,31\nverified: true\n"),
+    (["verify", "19", "1,2"], 3, "ok: false\nfailure_index: 2\n"),
+    (["verify", "3", "1,1"], 0, "ok: true\n"),
+    (
+        ["trace", "27", "--steps", "8"],
+        0,
+        "values: 27,41,31,47,71,107,161,121,91\n"
+        "exponents: 1,2,1,1,1,1,2,2\n"
+        "leading_direction: increasing\n"
+        "runs: 1,1,4,2\n"
+        "truncated: true\n"
+        "hit_fixed_point: false\n",
+    ),
+    (["minimal", "1,1,1"], 0, "m: 19\n"),
+    (["minimal", "50", "--bound", "100"], 0, "m: none\n"),
+    (
+        ["scan", "--max-m", "9", "--steps", "3"],
+        0,
+        "total: 5\ndecreasing 1: 2\nfixed: 1\nincreasing 1: 1\nincreasing 2: 1\n",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,code,stdout", README_EXAMPLES, ids=[" ".join(argv) for argv, _, _ in README_EXAMPLES]
+)
+def test_human_output_is_exact(capsys, argv, code, stdout):
+    assert run_cli(capsys, *argv) == (code, stdout, "")
 
 
 class TestUsageErrors:
