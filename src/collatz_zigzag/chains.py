@@ -236,13 +236,11 @@ def odd_positive_lift(
     last entry is odd).  The smallest nonnegative shift that makes every
     entry positive therefore needs at most one extra increment to fix the
     final parity, and the chosen shift is minimal.
+
+    ``x`` and ``z`` come from the caller, so both are checked against the
+    system first.
     """
-    for i, hi in enumerate(system.rhs):
-        if hi % 2 == 0:
-            raise ValueError(
-                f"rhs[{i}] = {hi} is even; the odd-positive lift needs every "
-                "right-hand side entry odd"
-            )
+    _require_odd_rhs(system)
     if not isinstance(z, KernelVector):
         z = KernelVector(tuple(z))
     x = tuple(int(v) for v in x)
@@ -252,13 +250,29 @@ def odd_positive_lift(
         raise ValueError("x does not solve the system")
     if apply(system, z.entries) != (0,) * system.n:
         raise ValueError("z is not in the kernel of the system")
+    return _shift_odd_positive(x, z.entries)
+
+
+def _require_odd_rhs(system: ChainSystem) -> None:
+    for i, hi in enumerate(system.rhs):
+        if hi % 2 == 0:
+            raise ValueError(
+                f"rhs[{i}] = {hi} is even; the odd-positive lift needs every "
+                "right-hand side entry odd"
+            )
+
+
+def _shift_odd_positive(x: tuple[int, ...], z: tuple[int, ...]) -> SolutionCertificate:
+    """The minimal odd-positive shift of a solution ``x`` along the kernel
+    generator ``z``, both already known to belong to a system whose rhs
+    entries are all odd."""
     k = 0
-    for xi, zi in zip(x, z.entries):
+    for xi, zi in zip(x, z):
         if xi < 1:
             k = max(k, (zi - xi) // zi)  # ceil((1 - xi) / zi)
-    if (x[-1] + k * z.entries[-1]) % 2 == 0:
+    if (x[-1] + k * z[-1]) % 2 == 0:
         k += 1
-    lifted = tuple(xi + k * zi for xi, zi in zip(x, z.entries))
+    lifted = tuple(xi + k * zi for xi, zi in zip(x, z))
     return SolutionCertificate(particular=x, lifted=lifted, shift=k)
 
 
@@ -266,11 +280,12 @@ def solve_odd_positive(system: ChainSystem) -> SolutionCertificate:
     """Particular solution, kernel, and odd-positive lift in one call.
 
     Deterministic: the congruence sweep, the closed-form kernel, and the
-    minimal shift each have a single possible output.
+    minimal shift each have a single possible output.  The sweep's exactness
+    and the kernel's closed form already guarantee what ``odd_positive_lift``
+    checks of outside input, so only the rhs parity is checked here.
     """
-    x = particular_solution(system)
-    z = kernel_primitive(system)
-    return odd_positive_lift(system, x, z)
+    _require_odd_rhs(system)
+    return _shift_odd_positive(particular_solution(system), kernel_primitive(system).entries)
 
 
 def corner_minor_certificate(system: ChainSystem) -> CornerMinors:

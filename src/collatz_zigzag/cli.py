@@ -8,6 +8,13 @@ histograms leading runs over a range.  Output is line-oriented
 Integers appear as decimal strings in JSON so arbitrarily large witnesses
 round-trip exactly.
 
+Each subcommand's handler returns its exit code, its ``inputs`` and
+``result`` dicts, and its human lines when they are not just the leaves of
+``result``.  ``main`` alone wraps them in the ``schema_version`` /
+``command`` / ``inputs`` / ``result`` record, prints it and maps exceptions
+to exit codes.  The argument parser is built once per process, on first
+use.
+
 Exit codes: 0 success, 1 usage or validation error, 2 internal verification
 failure, 3 pattern verification returned false.
 """
@@ -15,6 +22,7 @@ failure, 3 pattern verification returned false.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -73,18 +81,13 @@ def _seq(values) -> list[str]:
     return [_s(v) for v in values]
 
 
-def _emit(record: dict, args, human_lines) -> None:
-    """Print the record, or the ``key: value`` lines; values are the record's
-    decimal strings, lists of them, booleans or None."""
-    if args.json:
-        print(json.dumps(record))
-        return
-    for key, value in human_lines:
-        if isinstance(value, list):
-            value = ",".join(value)
-        elif value is None or isinstance(value, bool):
-            value = str(value).lower()
-        print(f"{key}: {value}")
+def _leaves(result: dict):
+    """The ``(key, value)`` pairs of a result, nested dicts flattened in order."""
+    for key, value in result.items():
+        if isinstance(value, dict):
+            yield from _leaves(value)
+        else:
+            yield key, value
 
 
 def _parse_int(text: str) -> int:
@@ -105,100 +108,68 @@ def _parse_odd_m(text: str) -> int:
     return m
 
 
-def _cmd_forge(args) -> int:
+# Handlers return (exit code, inputs, result, human lines), the lines None
+# when they are the leaves of result.
+
+
+def _cmd_forge(args):
     pattern = parse_pattern(args.pattern)
     witness = forge(pattern)
     boundaries = _seq(segment_boundaries(witness))  # boundaries[0] is m
-    record = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "forge",
-        "inputs": {"pattern": _seq(pattern.runs)},
-        "result": {
-            "m": boundaries[0],
-            "w": _seq(witness.w),
-            "boundaries": boundaries,
-            "verified": witness.verified,
-        },
+    result = {
+        "m": boundaries[0],
+        "w": _seq(witness.w),
+        "boundaries": boundaries,
+        "verified": witness.verified,
     }
-    _emit(record, args, record["result"].items())
-    return EXIT_OK
+    return EXIT_OK, {"pattern": _seq(pattern.runs)}, result, None
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     m = _parse_odd_m(args.m)
     pattern = parse_pattern(args.pattern)
-    result = verify_pattern(COLLATZ, m, pattern)
-    failure_index = None if result.failure_index is None else _s(result.failure_index)
-    record = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "verify",
-        "inputs": {"m": _s(m), "pattern": _seq(pattern.runs)},
-        "result": {"ok": result.ok, "failure_index": failure_index},
-    }
-    lines = [("ok", result.ok)]
-    if failure_index is not None:
-        lines.append(("failure_index", failure_index))
-    _emit(record, args, lines)
-    return EXIT_OK if result.ok else EXIT_PATTERN_FALSE
+    found = verify_pattern(COLLATZ, m, pattern)
+    failure_index = None if found.failure_index is None else _s(found.failure_index)
+    inputs = {"m": _s(m), "pattern": _seq(pattern.runs)}
+    result = {"ok": found.ok, "failure_index": failure_index}
+    # a null failure_index is left out of the human lines
+    lines = [("ok", found.ok)] if failure_index is None else None
+    return (EXIT_OK if found.ok else EXIT_PATTERN_FALSE), inputs, result, lines
 
 
-def _cmd_trace(args) -> int:
+def _cmd_trace(args):
     params = DynamicsParams(p=args.p, ell=args.ell, r=args.r)
     traj = trajectory(params, _parse_int(args.m), args.steps)
     rle = _run_lengths(traj)
     values = _seq(traj.values)  # values[0] is m
-    exponents = _seq(traj.exponents)
-    runs = _seq(rle.runs)
-    record = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "trace",
-        "inputs": {
-            "m": values[0],
-            "steps": _s(args.steps),
-            "p": _s(params.p),
-            "ell": _s(params.ell),
-            "r": _s(params.r),
-        },
-        "result": {
-            "values": values,
-            "exponents": exponents,
-            "pattern": {
-                "leading_direction": rle.leading_direction,
-                "runs": runs,
-                "truncated": rle.truncated,
-            },
-            "hit_fixed_point": traj.hit_fixed_point,
-        },
+    inputs = {
+        "m": values[0],
+        "steps": _s(args.steps),
+        "p": _s(params.p),
+        "ell": _s(params.ell),
+        "r": _s(params.r),
     }
-    _emit(
-        record,
-        args,
-        [
-            ("values", values),
-            ("exponents", exponents),
-            ("leading_direction", rle.leading_direction),
-            ("runs", runs),
-            ("truncated", rle.truncated),
-            ("hit_fixed_point", traj.hit_fixed_point),
-        ],
-    )
-    return EXIT_OK
+    result = {
+        "values": values,
+        "exponents": _seq(traj.exponents),
+        "pattern": {
+            "leading_direction": rle.leading_direction,
+            "runs": _seq(rle.runs),
+            "truncated": rle.truncated,
+        },
+        "hit_fixed_point": traj.hit_fixed_point,
+    }
+    return EXIT_OK, inputs, result, None
 
 
-def _cmd_minimal(args) -> int:
+def _cmd_minimal(args):
     pattern = parse_pattern(args.pattern)
     found = minimal_witness(pattern, args.bound)
-    record = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "minimal",
-        "inputs": {"pattern": _seq(pattern.runs), "bound": _s(args.bound)},
-        "result": {"m": None if found is None else _s(found)},
-    }
-    _emit(record, args, record["result"].items())
-    return EXIT_OK
+    inputs = {"pattern": _seq(pattern.runs), "bound": _s(args.bound)}
+    return EXIT_OK, inputs, {"m": None if found is None else _s(found)}, None
 
 
-def _cmd_scan(args) -> int:
+def _cmd_scan(args):
     if args.max_m < 1:
         raise ValueError("max-m must be >= 1")
     if args.steps < 1:
@@ -214,21 +185,18 @@ def _cmd_scan(args) -> int:
         {"direction": d, "first_run": None if first is None else _s(first), "count": _s(count)}
         for (d, first), count in ordered
     ]
-    record = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "scan",
-        "inputs": {"max_m": _s(args.max_m), "steps": _s(args.steps)},
-        "result": {"total": total, "counts": entries},
-    }
     lines = [("total", total)]
     for e in entries:
         key = e["direction"] if e["first_run"] is None else f"{e['direction']} {e['first_run']}"
         lines.append((key, e["count"]))
-    _emit(record, args, lines)
-    return EXIT_OK
+    inputs = {"max_m": _s(args.max_m), "steps": _s(args.steps)}
+    return EXIT_OK, inputs, {"total": total, "counts": entries}, lines
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every later
+    one; parsing leaves no state on it."""
     parser = _Parser(
         prog="collatz-zigzag",
         description="Forge and inspect rise/fall patterns of Collatz trajectories.",
@@ -276,19 +244,31 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.handler(args)
+        code, inputs, result, lines = args.handler(args)
     except InternalVerificationError as exc:
         print(f"internal verification failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if args.json:
+        record = {"schema_version": SCHEMA_VERSION, "command": args.command,
+                  "inputs": inputs, "result": result}
+        print(json.dumps(record))
+        return code
+    # values are decimal strings, lists of them, booleans or None
+    for key, value in _leaves(result) if lines is None else lines:
+        if isinstance(value, list):
+            value = ",".join(value)
+        elif value is None or isinstance(value, bool):
+            value = str(value).lower()
+        print(f"{key}: {value}")
+    return code
 
 
 if __name__ == "__main__":

@@ -123,14 +123,19 @@ def _check_domain(params: DynamicsParams, m: int) -> int:
 def step(params: DynamicsParams, m: int) -> StepResult:
     """One application of the map, returning the new value and the exact
     power of p divided out."""
-    m = _check_domain(params, m)
+    return StepResult(*_step(params, _check_domain(params, m)))
+
+
+def _step(params: DynamicsParams, m: int) -> tuple[int, int]:
+    """``step`` on an m already in the domain; the map keeps every value
+    there (positive and coprime to p), so walks check only their start."""
     t = (params.q - 1) * m + params.r
     p = params.p
     e = 0
     while t % p == 0:
         t //= p
         e += 1
-    return StepResult(t, e)
+    return t, e
 
 
 def collatz(m: int) -> int:
@@ -164,7 +169,7 @@ def trajectory(params: DynamicsParams, m: int, steps: int) -> Trajectory:
     hit = m == params.r
     if not hit:
         for _ in range(steps):
-            nxt, e = step(params, values[-1])
+            nxt, e = _step(params, values[-1])
             if nxt == values[-1]:
                 hit = True
                 break
@@ -226,7 +231,7 @@ def verify_pattern(params: DynamicsParams, m: int, pattern: Pattern) -> VerifyRe
     for seg, v in enumerate(pattern.runs):
         rising = seg % 2 == 0
         for _ in range(v):
-            nxt = step(params, cur).next
+            nxt = _step(params, cur)[0]
             if (nxt <= cur) if rising else (nxt >= cur):
                 return VerifyResult(False, index)
             cur = nxt

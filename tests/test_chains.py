@@ -227,6 +227,8 @@ class TestOddPositiveLift:
         system = ChainSystem((3,), (4,), (2,))
         with pytest.raises(ValueError, match=r"rhs\[0\] = 2 is even"):
             odd_positive_lift(system, (2, 1), kernel_primitive(system))
+        with pytest.raises(ValueError, match=r"rhs\[0\] = 2 is even"):
+            solve_odd_positive(system)
 
     def test_rejects_non_solution(self):
         with pytest.raises(ValueError, match="does not solve"):

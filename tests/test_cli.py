@@ -213,7 +213,7 @@ class TestDigitLimit:
         assert "invalid integer '27x'" in err
 
 
-# (argv, exit code, exact stdout) of every example in the README
+# (argv, exit code, exact stdout) of every example in the README, human and JSON
 README_EXAMPLES = [
     (["forge", "1,1"], 0, "m: 27\nw: 7,5\nboundaries: 27,41,31\nverified: true\n"),
     (["verify", "19", "1,2"], 3, "ok: false\nfailure_index: 2\n"),
@@ -235,6 +235,58 @@ README_EXAMPLES = [
         0,
         "total: 5\ndecreasing 1: 2\nfixed: 1\nincreasing 1: 1\nincreasing 2: 1\n",
     ),
+    # the same examples with --json: key order and spacing are part of the record
+    (
+        ["forge", "1,1", "--json"],
+        0,
+        '{"schema_version": 1, "command": "forge", "inputs": {"pattern": ["1", "1"]}, '
+        '"result": {"m": "27", "w": ["7", "5"], "boundaries": ["27", "41", "31"], '
+        '"verified": true}}\n',
+    ),
+    (
+        ["verify", "19", "1,2", "--json"],
+        3,
+        '{"schema_version": 1, "command": "verify", "inputs": {"m": "19", "pattern": ["1", "2"]}, '
+        '"result": {"ok": false, "failure_index": "2"}}\n',
+    ),
+    (
+        ["verify", "3", "1,1", "--json"],
+        0,
+        '{"schema_version": 1, "command": "verify", "inputs": {"m": "3", "pattern": ["1", "1"]}, '
+        '"result": {"ok": true, "failure_index": null}}\n',
+    ),
+    (
+        ["trace", "27", "--steps", "8", "--json"],
+        0,
+        '{"schema_version": 1, "command": "trace", '
+        '"inputs": {"m": "27", "steps": "8", "p": "2", "ell": "2", "r": "1"}, '
+        '"result": {"values": ["27", "41", "31", "47", "71", "107", "161", "121", "91"], '
+        '"exponents": ["1", "2", "1", "1", "1", "1", "2", "2"], '
+        '"pattern": {"leading_direction": "increasing", "runs": ["1", "1", "4", "2"], '
+        '"truncated": true}, "hit_fixed_point": false}}\n',
+    ),
+    (
+        ["minimal", "1,1,1", "--json"],
+        0,
+        '{"schema_version": 1, "command": "minimal", '
+        '"inputs": {"pattern": ["1", "1", "1"], "bound": "1000000"}, "result": {"m": "19"}}\n',
+    ),
+    (
+        ["minimal", "50", "--bound", "100", "--json"],
+        0,
+        '{"schema_version": 1, "command": "minimal", '
+        '"inputs": {"pattern": ["50"], "bound": "100"}, "result": {"m": null}}\n',
+    ),
+    (
+        ["scan", "--max-m", "9", "--steps", "3", "--json"],
+        0,
+        '{"schema_version": 1, "command": "scan", "inputs": {"max_m": "9", "steps": "3"}, '
+        '"result": {"total": "5", "counts": ['
+        '{"direction": "decreasing", "first_run": "1", "count": "2"}, '
+        '{"direction": "fixed", "first_run": null, "count": "1"}, '
+        '{"direction": "increasing", "first_run": "1", "count": "1"}, '
+        '{"direction": "increasing", "first_run": "2", "count": "1"}]}}\n',
+    ),
 ]
 
 
@@ -251,6 +303,15 @@ class TestUsageErrors:
 
     def test_missing_arguments_exit_1(self, capsys):
         assert cli.main(["forge"]) == 1
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_usage_error_leaves_the_shared_parser_clean(self, capsys):
+        assert cli.main(["forge"]) == 1
+        capsys.readouterr()
+        argv, code, stdout = README_EXAMPLES[0]
+        assert run_cli(capsys, *argv) == (code, stdout, "")
 
     def test_no_arguments_exit_1(self, capsys):
         assert cli.main([]) == 1
