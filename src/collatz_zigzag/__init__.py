@@ -5,18 +5,15 @@ whose Collatz trajectory strictly rises and falls in exactly those runs.
 The construction is pure integer arithmetic: a bidiagonal chain system links
 the multiplier of one run to the next, a closed-form primitive kernel vector
 parameterizes all solutions, and a parity-aware shift along the kernel lands
-on an all-odd, all-positive solution.  A Smith-normal-form oracle and
-brute-force scans cross-check the algebra, and the generalized map family
-behind the segment formulas is available alongside the classic Collatz map.
+on an all-odd, all-positive solution.  Brute-force scans cross-check the
+algebra, and the generalized map family behind the segment formulas is
+available alongside the classic Collatz map.
 """
 
 from .chains import (
     ChainSystem,
-    CornerMinors,
-    KernelVector,
     SolutionCertificate,
     apply,
-    corner_minor_certificate,
     kernel_primitive,
     odd_positive_lift,
     particular_solution,
@@ -46,20 +43,17 @@ from .forge import (
     segment_boundaries,
 )
 from .patterns import DECREASING, FIXED, INCREASING, Pattern, PatternRLE, parse_pattern
-from .snf import smith_normal_form
 
 __version__ = "0.1.0"
 
 __all__ = [
     "COLLATZ",
     "ChainSystem",
-    "CornerMinors",
     "DECREASING",
     "DynamicsParams",
     "FIXED",
     "INCREASING",
     "InternalVerificationError",
-    "KernelVector",
     "Pattern",
     "PatternRLE",
     "SolutionCertificate",
@@ -70,7 +64,6 @@ __all__ = [
     "apply",
     "build_system",
     "collatz",
-    "corner_minor_certificate",
     "decreasing_segment",
     "extract_pattern",
     "forge",
@@ -82,7 +75,6 @@ __all__ = [
     "parse_pattern",
     "particular_solution",
     "segment_boundaries",
-    "smith_normal_form",
     "solve_odd_positive",
     "step",
     "trajectory",

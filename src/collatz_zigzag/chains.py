@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -70,50 +70,6 @@ class ChainSystem:
         """Number of equations (one fewer than the number of unknowns)."""
         return len(self.coeff_a)
 
-    def matrix(self) -> list[list[int]]:
-        """The dense n x (n+1) coefficient matrix."""
-        n = self.n
-        rows = []
-        for i in range(n):
-            row = [0] * (n + 1)
-            row[i] = self.coeff_a[i]
-            row[i + 1] = -self.coeff_b[i]
-            rows.append(row)
-        return rows
-
-
-@dataclass(frozen=True)
-class KernelVector:
-    """The primitive positive generator of a chain system's kernel.
-
-    Entries are strictly positive with overall gcd 1; all but the last are
-    even and the last is odd.  Those parities are what make the odd-positive
-    lift work.
-    """
-
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        entries = tuple(int(v) for v in self.entries)
-        object.__setattr__(self, "entries", entries)
-        if len(entries) < 2:
-            raise ValueError("a kernel vector has at least two entries")
-        for i, v in enumerate(entries):
-            if v <= 0:
-                raise ValueError(f"kernel entry {i} must be positive, got {v}")
-        for i, v in enumerate(entries[:-1]):
-            if v % 2 == 1:
-                raise ValueError(f"kernel entry {i} must be even, got {v}")
-        if entries[-1] % 2 == 0:
-            raise ValueError(f"last kernel entry must be odd, got {entries[-1]}")
-        # coprime end entries already make the vector primitive; the full
-        # gcd is needed only when they share a factor
-        if math.gcd(entries[0], entries[-1]) != 1 and math.gcd(*entries) != 1:
-            raise ValueError("kernel vector must be primitive (gcd of entries 1)")
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
 
 @dataclass(frozen=True)
 class SolutionCertificate:
@@ -127,28 +83,6 @@ class SolutionCertificate:
     particular: tuple[int, ...]
     lifted: tuple[int, ...]
     shift: int
-
-    def __post_init__(self):
-        particular = tuple(int(v) for v in self.particular)
-        lifted = tuple(int(v) for v in self.lifted)
-        object.__setattr__(self, "particular", particular)
-        object.__setattr__(self, "lifted", lifted)
-        object.__setattr__(self, "shift", int(self.shift))
-        if len(particular) != len(lifted):
-            raise ValueError("particular and lifted solutions must have equal length")
-        if self.shift < 0:
-            raise ValueError("shift must be nonnegative")
-        for i, v in enumerate(lifted):
-            if v <= 0 or v % 2 == 0:
-                raise ValueError(f"lifted entry {i} must be odd and positive, got {v}")
-
-
-class CornerMinors(NamedTuple):
-    """The two extreme maximal minors of a chain system and their coprimality."""
-
-    det_drop_first: int
-    det_drop_last: int
-    coprime: bool
 
 
 def apply(system: ChainSystem, x: Sequence[int]) -> tuple[int, ...]:
@@ -165,14 +99,29 @@ def apply(system: ChainSystem, x: Sequence[int]) -> tuple[int, ...]:
     )
 
 
-def kernel_primitive(system: ChainSystem) -> KernelVector:
+class _Kernel(tuple):
+    """A kernel generator: a plain tuple of its entries.
+
+    ``entries`` returns the tuple itself, because the benchmark's tracer
+    (``bench/tracer.py``) counts kernel bits through that attribute.
+    """
+
+    @property
+    def entries(self) -> tuple[int, ...]:
+        return self
+
+
+def kernel_primitive(system: ChainSystem) -> tuple[int, ...]:
     """The unique primitive positive kernel generator, in closed form.
 
     Row i forces coeff_a[i] * z[i] == coeff_b[i] * z[i+1], so a kernel member
     is z[i] = (coeff_a[0]..coeff_a[i-1]) * (coeff_b[i]..coeff_b[n-1]).  It is
     already primitive: z[0] is the product of all coeff_b and z[n] the product
     of all coeff_a, which ``ChainSystem`` has checked to be coprime, so the
-    gcd of all entries is 1.  No rational arithmetic is involved.
+    gcd of all entries is 1.  Every entry is a product of positive
+    coefficients; each but the last has the even coeff_b[n-1] as a factor,
+    and the last is a product of odd ones.  No rational arithmetic is
+    involved, so the result needs no check.
     """
     a, b = system.coeff_a, system.coeff_b
     n = system.n
@@ -185,7 +134,7 @@ def kernel_primitive(system: ChainSystem) -> KernelVector:
         entries.append(prefix_a * suffix_b[i])
         prefix_a *= a[i]
     entries.append(prefix_a)
-    return KernelVector(tuple(entries))
+    return _Kernel(entries)
 
 
 def particular_solution(system: ChainSystem) -> tuple[int, ...]:
@@ -225,9 +174,7 @@ def particular_solution(system: ChainSystem) -> tuple[int, ...]:
     return tuple(xs)
 
 
-def odd_positive_lift(
-    system: ChainSystem, x: Sequence[int], z: KernelVector
-) -> SolutionCertificate:
+def odd_positive_lift(system: ChainSystem, x: Sequence[int]) -> SolutionCertificate:
     """Shift a particular solution along the kernel until it is odd positive.
 
     Requires every rhs entry to be odd, which already makes x[0..n-1] odd;
@@ -237,20 +184,14 @@ def odd_positive_lift(
     entry positive therefore needs at most one extra increment to fix the
     final parity, and the chosen shift is minimal.
 
-    ``x`` and ``z`` come from the caller, so both are checked against the
-    system first.
+    ``x`` comes from the caller, so it is checked against the system first;
+    the kernel is the closed-form ``kernel_primitive(system)``.
     """
     _require_odd_rhs(system)
-    if not isinstance(z, KernelVector):
-        z = KernelVector(tuple(z))
     x = tuple(int(v) for v in x)
-    if len(z.entries) != system.n + 1:
-        raise ValueError(f"kernel vector must have length {system.n + 1}")
     if apply(system, x) != system.rhs:
         raise ValueError("x does not solve the system")
-    if apply(system, z.entries) != (0,) * system.n:
-        raise ValueError("z is not in the kernel of the system")
-    return _shift_odd_positive(x, z.entries)
+    return _shift_odd_positive(x, kernel_primitive(system))
 
 
 def _require_odd_rhs(system: ChainSystem) -> None:
@@ -285,24 +226,4 @@ def solve_odd_positive(system: ChainSystem) -> SolutionCertificate:
     checks of outside input, so only the rhs parity is checked here.
     """
     _require_odd_rhs(system)
-    return _shift_odd_positive(particular_solution(system), kernel_primitive(system).entries)
-
-
-def corner_minor_certificate(system: ChainSystem) -> CornerMinors:
-    """The two corner minors that certify surjectivity over the integers.
-
-    Dropping the first column leaves an upper-triangular matrix with the
-    negated superdiagonal magnitudes on its diagonal; dropping the last
-    leaves a lower-triangular one with the diagonal coefficients.  Both
-    determinants are plain products, and their coprimality means the gcd of
-    all maximal minors is 1.
-    """
-    n = system.n
-    prod_b = math.prod(system.coeff_b)
-    prod_a = math.prod(system.coeff_a)
-    det_drop_first = -prod_b if n % 2 else prod_b
-    return CornerMinors(
-        det_drop_first=det_drop_first,
-        det_drop_last=prod_a,
-        coprime=math.gcd(prod_b, prod_a) == 1,
-    )
+    return _shift_odd_positive(particular_solution(system), kernel_primitive(system))

@@ -17,27 +17,35 @@ this fast path, and the only path for the other maps of the family.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 from .patterns import DECREASING, FIXED, INCREASING, Pattern, PatternRLE, as_pattern
 
-_PRIME_CHECK_LIMIT = 2**31
+#: Miller-Rabin with the first 13 primes as bases is exact for every p below
+#: this bound (Sorenson and Webster, Math. Comp. 86, 2017).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
-def _is_prime_small(p: int) -> bool:
-    # trial division; isqrt(2**31) == 46340, so this stays cheap
-    if p < 2:
-        return False
-    if p % 2 == 0:
-        return p == 2
-    f = 3
-    top = math.isqrt(p)
-    while f <= top:
-        if p % f == 0:
+def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin; exact for 2 <= p < ``_PRIME_LIMIT``."""
+    if p in _PRIME_BASES:
+        return True
+    # p - 1 = 2**s * d with d odd
+    d = p - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    for a in _PRIME_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -45,16 +53,15 @@ def _is_prime_small(p: int) -> bool:
 class DynamicsParams:
     """Parameters (p, ell, r) of the generalized map, with q = p**ell cached.
 
-    p must be prime; primality is checked exactly up to 2**31 and accepted
-    on trust above that (``prime_verified`` records which happened).  r is
-    the map's fixed point and must not be divisible by p.
+    p must be prime, and below ``_PRIME_LIMIT`` (about 3.3e24), where
+    primality is checked exactly.  r is the map's fixed point and must not
+    be divisible by p.
     """
 
     p: int
     ell: int
     r: int = 1
     q: int = field(init=False)
-    prime_verified: bool = field(init=False)
 
     def __post_init__(self):
         p, ell, r = int(self.p), int(self.ell), int(self.r)
@@ -69,11 +76,11 @@ class DynamicsParams:
             raise ValueError(f"r must be >= 1, got {r}")
         if r % p == 0:
             raise ValueError(f"r = {r} must not be divisible by p = {p}")
-        verified = p <= _PRIME_CHECK_LIMIT
-        if verified and not _is_prime_small(p):
+        if p >= _PRIME_LIMIT:
+            raise ValueError(f"p must be below {_PRIME_LIMIT}, the exact primality limit, got {p}")
+        if not _is_prime(p):
             raise ValueError(f"p = {p} is not prime")
         object.__setattr__(self, "q", p**ell)
-        object.__setattr__(self, "prime_verified", verified)
 
 
 #: The classic Collatz map (3m + 1) / 2**e on odd positive integers.

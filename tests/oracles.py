@@ -1,15 +1,27 @@
-"""Smith normal form of small dense integer matrices.
+"""Reference implementations the tests compare the package against.
 
-This is a correctness oracle, not a production path, so it uses the classic
-elimination: pick the nonzero entry of smallest magnitude as pivot, reduce
-its row and column by division with remainder, repair any divisibility
-violation in the trailing block, and move on to the next diagonal position.
-Exact arithmetic throughout, with a hard cap on the dimensions.
+None of these is on a production path.  The file name has no ``test_``
+prefix, so pytest imports it only through the test modules that use it.
+
+- ``smith_normal_form``: invariant factors of a small dense integer
+  matrix, by the classic elimination.  Pick the nonzero entry of smallest
+  magnitude as pivot, reduce its row and column by division with
+  remainder, repair any divisibility violation in the trailing block, and
+  move on to the next diagonal position.  Exact arithmetic throughout,
+  with a hard cap on the dimensions.
+- ``dense_matrix`` and ``corner_minor_certificate``: the dense form of a
+  chain system and the two corner minors that certify it is surjective
+  over the integers.
+- ``is_prime_by_trial_division``: the primality oracle for the exact
+  Miller-Rabin check of ``DynamicsParams``.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+import math
+from typing import NamedTuple, Sequence
+
+from collatz_zigzag.chains import ChainSystem
 
 DEFAULT_MAX_DIM = 32
 
@@ -94,3 +106,58 @@ def _non_multiple(a, t, nrows, ncols, pivot):
             if a[i][j] % pivot:
                 return i
     return None
+
+
+def dense_matrix(system: ChainSystem) -> list[list[int]]:
+    """The dense n x (n+1) coefficient matrix of a chain system."""
+    n = system.n
+    rows = []
+    for i in range(n):
+        row = [0] * (n + 1)
+        row[i] = system.coeff_a[i]
+        row[i + 1] = -system.coeff_b[i]
+        rows.append(row)
+    return rows
+
+
+class CornerMinors(NamedTuple):
+    """The two extreme maximal minors of a chain system and their coprimality."""
+
+    det_drop_first: int
+    det_drop_last: int
+    coprime: bool
+
+
+def corner_minor_certificate(system: ChainSystem) -> CornerMinors:
+    """The two corner minors that certify surjectivity over the integers.
+
+    Dropping the first column leaves an upper-triangular matrix with the
+    negated superdiagonal magnitudes on its diagonal; dropping the last
+    leaves a lower-triangular one with the diagonal coefficients.  Both
+    determinants are plain products, and their coprimality means the gcd of
+    all maximal minors is 1.
+    """
+    n = system.n
+    prod_b = math.prod(system.coeff_b)
+    prod_a = math.prod(system.coeff_a)
+    det_drop_first = -prod_b if n % 2 else prod_b
+    return CornerMinors(
+        det_drop_first=det_drop_first,
+        det_drop_last=prod_a,
+        coprime=math.gcd(prod_b, prod_a) == 1,
+    )
+
+
+def is_prime_by_trial_division(p: int) -> bool:
+    """Primality by trial division up to the square root of p."""
+    if p < 2:
+        return False
+    if p % 2 == 0:
+        return p == 2
+    f = 3
+    top = math.isqrt(p)
+    while f <= top:
+        if p % f == 0:
+            return False
+        f += 2
+    return True

@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from collatz_zigzag import dynamics
 from collatz_zigzag.dynamics import (
+    _PRIME_LIMIT,
     COLLATZ,
     DynamicsParams,
     VerifyResult,
+    _is_prime,
     collatz,
     decreasing_segment,
     extract_pattern,
@@ -21,6 +24,7 @@ from collatz_zigzag.dynamics import (
 )
 from collatz_zigzag.forge import forge
 from collatz_zigzag.patterns import Pattern
+from oracles import is_prime_by_trial_division
 
 P3 = DynamicsParams(p=3, ell=1, r=1)
 
@@ -80,20 +84,36 @@ def collatz_cases(draw):
 class TestParams:
     def test_collatz_specialization(self):
         assert (COLLATZ.p, COLLATZ.ell, COLLATZ.r, COLLATZ.q) == (2, 2, 1, 4)
-        assert COLLATZ.prime_verified
 
     def test_rejects_composite(self):
         with pytest.raises(ValueError, match="not prime"):
             DynamicsParams(p=9, ell=1, r=1)
 
-    def test_huge_prime_accepted_on_trust(self):
+    @pytest.mark.parametrize("p", [2047, 2**32 + 1, 3215031751])
+    def test_rejects_composites_that_pass_some_bases(self, p):
+        # 2047 = 23 * 89 is a strong pseudoprime to base 2, 3215031751 to
+        # bases 2 to 7; 2**32 + 1 = 641 * 6700417 is the Fermat number F5
+        with pytest.raises(ValueError, match=f"p = {p} is not prime"):
+            DynamicsParams(p=p, ell=1, r=1)
+
+    def test_huge_prime_is_accepted(self):
         params = DynamicsParams(p=2**61 - 1, ell=1, r=1)
-        assert not params.prime_verified
         assert params.q == 2**61 - 1
 
     def test_boundary_prime_is_verified(self):
         params = DynamicsParams(p=2**31 - 1, ell=1, r=1)
-        assert params.prime_verified
+        assert params.q == 2**31 - 1
+
+    def test_rejects_p_at_the_exact_limit(self):
+        # the limit is itself a strong pseudoprime to all 13 bases
+        with pytest.raises(ValueError, match=f"p must be below {_PRIME_LIMIT}"):
+            DynamicsParams(p=_PRIME_LIMIT, ell=1, r=1)
+        with pytest.raises(ValueError, match=f"p must be below {_PRIME_LIMIT}"):
+            DynamicsParams(p=2**127 - 1, ell=1, r=1)
+
+    def test_primality_matches_trial_division_below_1e5(self):
+        for p in range(2, 10**5):
+            assert _is_prime(p) == is_prime_by_trial_division(p), p
 
     @pytest.mark.parametrize(
         "kwargs,msg",
@@ -144,6 +164,9 @@ class TestCollatzFastPath:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError, match="positive"):
             collatz(-3)
+        # 0 is even too, but is named as nonpositive
+        with pytest.raises(ValueError, match="m must be positive, got 0"):
+            collatz(0)
 
     def test_agrees_with_generic_step_below_1e5(self):
         for m in range(1, 10**5, 2):
@@ -295,6 +318,15 @@ class TestVerifyCollatzRunJumps:
     def test_edge_cases(self, m, runs, expected):
         assert verify_pattern(COLLATZ, m, Pattern(runs)) == expected
         assert step_oracle(COLLATZ, m, runs) == expected
+
+    def test_long_fall_is_jumped_not_stepped(self, monkeypatch):
+        # a forged fall divides out exactly 2**2 at every step, so the fall
+        # jump crosses all 500 steps; a step-by-step walk calls collatz 500 times
+        m = forge(Pattern((1, 500))).m
+        calls = []
+        monkeypatch.setattr(dynamics, "collatz", lambda x: calls.append(x) or collatz(x))
+        assert verify_pattern(COLLATZ, m, Pattern((1, 500))) == (True, None)
+        assert calls == []
 
     @pytest.mark.parametrize("runs", [(16000,), (3000,) * 6])
     def test_long_forged_witnesses(self, runs):

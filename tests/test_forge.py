@@ -132,6 +132,9 @@ class TestMinimalWitness:
     def test_bound_is_inclusive(self):
         assert minimal_witness(Pattern((1, 1)), 3) == 3
         assert minimal_witness(Pattern((1, 1)), 2) is None
+        # the smallest legal bound covers m = 1 only, which is fixed
+        assert minimal_witness(Pattern((1,)), 1) is None
+        assert minimal_witness(Pattern((1,)), 3) == 3
 
     def test_rejects_bad_bound(self):
         with pytest.raises(ValueError, match="bound"):
